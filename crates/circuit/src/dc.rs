@@ -787,7 +787,10 @@ impl SparseDcPlan {
         for (idx, (e, fp)) in net.elements().iter().zip(&self.fingerprint).enumerate() {
             if (e.a.index(), e.b.index(), kind_tag(&e.kind)) != *fp {
                 return Err(CircuitError::StalePlan {
-                    reason: format!("element {idx} ({}) changed terminals or kind", e.label),
+                    reason: format!(
+                        "element {idx} ({}) changed terminals or kind",
+                        net.element_label(ElementId(idx))?
+                    ),
                 });
             }
         }

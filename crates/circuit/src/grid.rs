@@ -637,6 +637,60 @@ mod tests {
     use super::*;
 
     #[test]
+    fn small_grid_keeps_node_labels_and_element_order() {
+        let mut grid = PowerGrid::new(3, 3, Ohms::from_milliohms(1.0)).unwrap();
+        grid.attach_uniform_load(Amps::new(9.0)).unwrap();
+        grid.attach_regulator(1, 1, Volts::new(1.0), Ohms::from_milliohms(0.5))
+            .unwrap();
+        let net = grid.netlist();
+
+        let labels: Vec<&str> = (0..net.node_count())
+            .map(|k| net.node_label(NodeId(k)).unwrap())
+            .collect();
+        assert_eq!(
+            labels,
+            [
+                "gnd", "g0_0", "g1_0", "g2_0", "g0_1", "g1_1", "g2_1", "g0_2", "g1_2", "g2_2",
+                "vr0"
+            ]
+        );
+
+        // Row-major mesh edges (right, then down), one load per node,
+        // then the regulator's source and droop resistor.
+        let mut want: Vec<(String, usize, usize)> = [
+            (1, 2),
+            (1, 4),
+            (2, 3),
+            (2, 5),
+            (3, 6),
+            (4, 5),
+            (4, 7),
+            (5, 6),
+            (5, 8),
+            (6, 9),
+            (7, 8),
+            (8, 9),
+        ]
+        .iter()
+        .enumerate()
+        .map(|(k, &(a, b))| (format!("R{k}"), a, b))
+        .collect();
+        want.extend((1..=9).map(|n| (format!("I{}", 11 + n), n, 0)));
+        want.push(("V21".to_owned(), 10, 0));
+        want.push(("R22".to_owned(), 10, 5));
+        let got: Vec<(String, usize, usize)> = net
+            .elements()
+            .iter()
+            .enumerate()
+            .map(|(k, e)| {
+                let label = net.element_label(ElementId(k)).unwrap().into_owned();
+                (label, e.a.index(), e.b.index())
+            })
+            .collect();
+        assert_eq!(got, want);
+    }
+
+    #[test]
     fn symmetric_grid_shares_current_equally() {
         let mut grid = PowerGrid::new(5, 5, Ohms::from_milliohms(1.0)).unwrap();
         grid.attach_uniform_load(Amps::new(25.0)).unwrap();

@@ -1,6 +1,9 @@
 //! Netlist construction: nodes, elements, and validation.
 
 use crate::CircuitError;
+use std::borrow::Cow;
+use std::collections::hash_map::RandomState;
+use std::hash::BuildHasher as _;
 use vpd_units::{Amps, Farads, Henries, Hertz, Ohms, Seconds, Volts};
 
 /// A node handle within one [`Netlist`].
@@ -233,6 +236,22 @@ pub enum ElementKind {
     },
 }
 
+impl ElementKind {
+    /// Prefix of the default element label: `R3`, `Istep7`, ….
+    const fn label_prefix(&self) -> &'static str {
+        match self {
+            Self::Resistor { .. } => "R",
+            Self::CurrentSource { .. } => "I",
+            Self::StepCurrentSource { .. } => "Istep",
+            Self::RampCurrentSource { .. } => "Iramp",
+            Self::VoltageSource { .. } => "V",
+            Self::Capacitor { .. } => "C",
+            Self::Inductor { .. } => "L",
+            Self::Switch { .. } => "S",
+        }
+    }
+}
+
 /// One placed element: kind + terminals + label.
 #[derive(Clone, PartialEq, Debug, serde::Serialize, serde::Deserialize)]
 pub struct Element {
@@ -242,8 +261,11 @@ pub struct Element {
     pub a: NodeId,
     /// Second terminal (`−` for sources).
     pub b: NodeId,
-    /// Human-readable label for diagnostics.
-    pub label: String,
+    /// A label set by [`Netlist::label_last`]; `None` means the default
+    /// kind prefix + element index, spelled out only on demand by
+    /// [`Netlist::element_label`] so building a netlist allocates no
+    /// per-element string.
+    label: Option<String>,
 }
 
 /// A circuit under construction.
@@ -253,10 +275,86 @@ pub struct Element {
 /// ([C-VALIDATE]) and returns an [`ElementId`] usable to query branch
 /// results after a solve. A full build-and-solve round trip is shown on
 /// [`Netlist::voltage_source`].
-#[derive(Clone, PartialEq, Debug, Default, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Debug, serde::Serialize, serde::Deserialize)]
 pub struct Netlist {
     node_labels: Vec<String>,
     elements: Vec<Element>,
+    /// Derived from `node_labels`; brought up to date before each
+    /// lookup, so it may lag them (e.g. after deserialization).
+    #[serde(skip)]
+    label_index: LabelIndex,
+}
+
+/// Marks an empty [`LabelIndex`] slot.
+const EMPTY_SLOT: u32 = u32::MAX;
+
+/// Label → node lookup for [`Netlist::node`]: an open-addressed table
+/// of node ids, probed by label hash and compared against the netlist's
+/// own `node_labels`, so each label is stored once. Holds at most half
+/// as many ids as slots, which keeps linear-probe chains short.
+#[derive(Clone, Debug, Default)]
+struct LabelIndex {
+    hasher: RandomState,
+    /// Power-of-two sized; `EMPTY_SLOT` or a node id.
+    slots: Vec<u32>,
+    /// `labels[..indexed]` are in the table.
+    indexed: usize,
+}
+
+impl LabelIndex {
+    /// The lowest node id whose label is `label`, given the `labels`
+    /// this index was last [`LabelIndex::sync`]ed with.
+    fn find(&self, labels: &[String], label: &str) -> Option<usize> {
+        if self.slots.is_empty() {
+            return None;
+        }
+        let mask = self.slots.len() - 1;
+        // Truncating the hash to the table width is the intent.
+        let mut at = self.hasher.hash_one(label) as usize & mask;
+        loop {
+            match self.slots[at] {
+                EMPTY_SLOT => return None,
+                id if labels[id as usize] == label => return Some(id as usize),
+                _ => at = (at + 1) & mask,
+            }
+        }
+    }
+
+    /// Indexes every label not yet in the table, growing it first when
+    /// it would pass half full. Ids are inserted in increasing order, so
+    /// a probe meets the lowest id of any duplicated label first.
+    fn sync(&mut self, labels: &[String]) {
+        if 2 * labels.len() > self.slots.len() {
+            self.slots = vec![EMPTY_SLOT; (2 * labels.len()).next_power_of_two().max(16)];
+            self.indexed = 0;
+        }
+        let mask = self.slots.len() - 1;
+        for (id, label) in labels.iter().enumerate().skip(self.indexed) {
+            let mut at = self.hasher.hash_one(label) as usize & mask;
+            while self.slots[at] != EMPTY_SLOT {
+                at = (at + 1) & mask;
+            }
+            self.slots[at] = u32::try_from(id)
+                .ok()
+                .filter(|&id| id != EMPTY_SLOT)
+                .expect("node ids stay below u32::MAX");
+        }
+        self.indexed = labels.len();
+    }
+}
+
+impl Default for Netlist {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+/// Two netlists are equal when their nodes and elements are; the label
+/// index is derived data.
+impl PartialEq for Netlist {
+    fn eq(&self, other: &Self) -> bool {
+        self.node_labels == other.node_labels && self.elements == other.elements
+    }
 }
 
 impl Netlist {
@@ -266,6 +364,7 @@ impl Netlist {
         Self {
             node_labels: vec!["gnd".to_owned()],
             elements: Vec::new(),
+            label_index: LabelIndex::default(),
         }
     }
 
@@ -282,7 +381,8 @@ impl Netlist {
         if label == "gnd" || label == "0" {
             return NodeId(0);
         }
-        if let Some(idx) = self.node_labels.iter().position(|l| l == label) {
+        self.label_index.sync(&self.node_labels);
+        if let Some(idx) = self.label_index.find(&self.node_labels, label) {
             return NodeId(idx);
         }
         self.node_labels.push(label.to_owned());
@@ -324,6 +424,21 @@ impl Netlist {
         &self.elements
     }
 
+    /// The diagnostic label of an element: the one given by
+    /// [`Netlist::label_last`], else its kind prefix and index (`R0`,
+    /// `V12`, …).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CircuitError::UnknownElement`] for a foreign id.
+    pub fn element_label(&self, id: ElementId) -> Result<Cow<'_, str>, CircuitError> {
+        let e = self.element(id)?;
+        Ok(match &e.label {
+            Some(label) => Cow::Borrowed(label),
+            None => Cow::Owned(format!("{}{}", e.kind.label_prefix(), id.0)),
+        })
+    }
+
     /// One element by id.
     ///
     /// # Errors
@@ -345,7 +460,7 @@ impl Netlist {
     /// * [`CircuitError::UnknownNode`] for foreign node ids.
     pub fn resistor(&mut self, a: NodeId, b: NodeId, r: Ohms) -> Result<ElementId, CircuitError> {
         self.check_positive("resistor", r.value())?;
-        self.push(ElementKind::Resistor { r }, a, b, "R")
+        self.push(ElementKind::Resistor { r }, a, b)
     }
 
     /// Adds a current source driving `i` from `a` to `b` through the
@@ -366,7 +481,7 @@ impl Netlist {
         i: Amps,
     ) -> Result<ElementId, CircuitError> {
         self.check_finite("current source", i.value())?;
-        self.push(ElementKind::CurrentSource { i }, a, b, "I")
+        self.push(ElementKind::CurrentSource { i }, a, b)
     }
 
     /// Adds a stepping current source (`before` until `at`, `after`
@@ -394,12 +509,7 @@ impl Netlist {
                 value: at.value(),
             });
         }
-        self.push(
-            ElementKind::StepCurrentSource { before, after, at },
-            a,
-            b,
-            "Istep",
-        )
+        self.push(ElementKind::StepCurrentSource { before, after, at }, a, b)
     }
 
     /// Adds a ramping current source (`before` until `at`, linear to
@@ -444,7 +554,6 @@ impl Netlist {
             },
             a,
             b,
-            "Iramp",
         )
     }
 
@@ -477,7 +586,7 @@ impl Netlist {
         v: Volts,
     ) -> Result<ElementId, CircuitError> {
         self.check_finite("voltage source", v.value())?;
-        self.push(ElementKind::VoltageSource { v }, plus, minus, "V")
+        self.push(ElementKind::VoltageSource { v }, plus, minus)
     }
 
     /// Adds a capacitor (open-circuit in DC) with initial voltage `v0`.
@@ -493,7 +602,7 @@ impl Netlist {
         v0: Volts,
     ) -> Result<ElementId, CircuitError> {
         self.check_positive("capacitor", c.value())?;
-        self.push(ElementKind::Capacitor { c, v0 }, a, b, "C")
+        self.push(ElementKind::Capacitor { c, v0 }, a, b)
     }
 
     /// Adds an inductor (short-circuit in DC) with initial current `i0`.
@@ -509,7 +618,7 @@ impl Netlist {
         i0: Amps,
     ) -> Result<ElementId, CircuitError> {
         self.check_positive("inductor", l.value())?;
-        self.push(ElementKind::Inductor { l, i0 }, a, b, "L")
+        self.push(ElementKind::Inductor { l, i0 }, a, b)
     }
 
     /// Adds an ideal switch modeled as an `r_on`/`r_off` two-state
@@ -539,14 +648,13 @@ impl Netlist {
             },
             a,
             b,
-            "S",
         )
     }
 
     /// Relabels the most recently added element (diagnostics only).
     pub fn label_last(&mut self, label: &str) {
         if let Some(e) = self.elements.last_mut() {
-            e.label = label.to_owned();
+            e.label = Some(label.to_owned());
         }
     }
 
@@ -650,27 +758,21 @@ impl Netlist {
         if b.0 >= self.node_labels.len() {
             return Err(CircuitError::UnknownNode { index: b.0 });
         }
+        if a == b {
+            return Err(CircuitError::DegenerateElement {
+                label: self.element_label(id)?.into_owned(),
+            });
+        }
         let e = self
             .elements
             .get_mut(id.0)
             .ok_or(CircuitError::UnknownElement { index: id.0 })?;
-        if a == b {
-            return Err(CircuitError::DegenerateElement {
-                label: e.label.clone(),
-            });
-        }
         e.a = a;
         e.b = b;
         Ok(())
     }
 
-    fn push(
-        &mut self,
-        kind: ElementKind,
-        a: NodeId,
-        b: NodeId,
-        prefix: &str,
-    ) -> Result<ElementId, CircuitError> {
+    fn push(&mut self, kind: ElementKind, a: NodeId, b: NodeId) -> Result<ElementId, CircuitError> {
         if a.0 >= self.node_labels.len() {
             return Err(CircuitError::UnknownNode { index: a.0 });
         }
@@ -679,11 +781,15 @@ impl Netlist {
         }
         if a == b {
             return Err(CircuitError::DegenerateElement {
-                label: format!("{prefix}{}", self.elements.len()),
+                label: format!("{}{}", kind.label_prefix(), self.elements.len()),
             });
         }
-        let label = format!("{prefix}{}", self.elements.len());
-        self.elements.push(Element { kind, a, b, label });
+        self.elements.push(Element {
+            kind,
+            a,
+            b,
+            label: None,
+        });
         Ok(ElementId(self.elements.len() - 1))
     }
 
@@ -713,6 +819,24 @@ mod tests {
         let a2 = net.node("a");
         assert_eq!(a, a2);
         assert_eq!(net.node_count(), 2);
+
+        // Ids stay insertion-ordered and re-lookups stable across many
+        // table growths.
+        let many: Vec<NodeId> = (0..5000).map(|k| net.node(&format!("n{k}"))).collect();
+        assert_eq!(net.node_count(), 5002);
+        for (k, &id) in many.iter().enumerate() {
+            assert_eq!(id.index(), k + 2);
+            assert_eq!(net.node(&format!("n{k}")), id);
+        }
+        assert_eq!(net.node("a"), a);
+        assert_eq!(net.node_count(), 5002);
+
+        // A clone looks up the same ids and grows independently.
+        let mut copy = net.clone();
+        assert_eq!(copy.node("n4999"), many[4999]);
+        assert_eq!(copy.node("fresh").index(), 5002);
+        assert_eq!(net.node_count(), 5002);
+        assert_eq!(net.node("fresh").index(), 5002);
     }
 
     #[test]
@@ -720,6 +844,20 @@ mod tests {
         let mut net = Netlist::new();
         assert_eq!(net.node("gnd"), net.ground());
         assert_eq!(net.node("0"), net.ground());
+        net.nodes("x", 3000);
+        assert_eq!(net.node("gnd"), net.ground());
+        assert_eq!(net.node("0"), net.ground());
+        assert_eq!(net.clone().node("0"), net.ground());
+        assert_eq!(net.node_count(), 3001);
+    }
+
+    #[test]
+    fn default_netlist_has_ground() {
+        let mut net = Netlist::default();
+        assert_eq!(net, Netlist::new());
+        let a = net.node("a");
+        assert_ne!(a, net.ground());
+        assert!(net.resistor(a, net.ground(), Ohms::new(1.0)).is_ok());
     }
 
     #[test]
@@ -879,7 +1017,7 @@ mod tests {
         let a = net.node("a");
         let id = net.resistor(a, net.ground(), Ohms::new(2.0)).unwrap();
         net.label_last("load");
-        assert_eq!(net.element(id).unwrap().label, "load");
+        assert_eq!(net.element_label(id).unwrap(), "load");
         assert_eq!(net.node_label(a).unwrap(), "a");
         assert!(net.node_label(NodeId(42)).is_err());
         assert!(net.element(ElementId(42)).is_err());

@@ -150,8 +150,24 @@ impl CooMatrix {
     #[must_use]
     pub fn to_csr_with_pattern(&self) -> (CsrMatrix, PatternCache) {
         // Deterministic total order: (row, col, raw index) has no ties.
-        let mut order: Vec<usize> = (0..self.entries.len()).collect();
-        order.sort_unstable_by_key(|&k| (self.entries[k].0, self.entries[k].1, k));
+        // A counting sort by row leaves each row's raw indices ascending,
+        // so a stable sort by column within the row completes the order.
+        let mut row_start = vec![0usize; self.rows + 1];
+        for &(r, _, _) in &self.entries {
+            row_start[r + 1] += 1;
+        }
+        for r in 0..self.rows {
+            row_start[r + 1] += row_start[r];
+        }
+        let mut order = vec![0usize; self.entries.len()];
+        let mut next = row_start.clone();
+        for (k, &(r, _, _)) in self.entries.iter().enumerate() {
+            order[next[r]] = k;
+            next[r] += 1;
+        }
+        for r in 0..self.rows {
+            order[row_start[r]..row_start[r + 1]].sort_by_key(|&k| self.entries[k].1);
+        }
 
         let mut slot_of_raw = vec![0usize; self.entries.len()];
         let mut col_indices = Vec::with_capacity(self.entries.len());
@@ -511,6 +527,91 @@ impl CsrMatrix {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The sort-based pattern assembly `to_csr_with_pattern` replaced:
+    /// one comparison sort of raw indices by `(row, col, raw index)`.
+    /// Kept as the oracle the counting-sort version must match bitwise.
+    fn reference_csr_with_pattern(coo: &CooMatrix) -> (CsrMatrix, PatternCache) {
+        let entries = &coo.entries;
+        let mut order: Vec<usize> = (0..entries.len()).collect();
+        order.sort_unstable_by_key(|&k| (entries[k].0, entries[k].1, k));
+
+        let mut slot_of_raw = vec![0usize; entries.len()];
+        let mut col_indices = Vec::new();
+        let mut row_ptr = vec![0usize; coo.rows + 1];
+        let mut i = 0;
+        while i < order.len() {
+            let (r, c, _) = entries[order[i]];
+            let slot = col_indices.len();
+            col_indices.push(c);
+            row_ptr[r + 1] += 1;
+            while i < order.len() && entries[order[i]].0 == r && entries[order[i]].1 == c {
+                slot_of_raw[order[i]] = slot;
+                i += 1;
+            }
+        }
+        for r in 0..coo.rows {
+            row_ptr[r + 1] += row_ptr[r];
+        }
+        let mut values = vec![0.0; col_indices.len()];
+        for (k, &(_, _, v)) in entries.iter().enumerate() {
+            values[slot_of_raw[k]] += v;
+        }
+        let nnz = values.len();
+        let csr = CsrMatrix {
+            rows: coo.rows,
+            cols: coo.cols,
+            row_ptr,
+            col_indices,
+            values,
+        };
+        let pattern = PatternCache {
+            rows: coo.rows,
+            cols: coo.cols,
+            slot_of_raw,
+            nnz,
+        };
+        (csr, pattern)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Counting-sort pattern assembly reproduces the sort-based
+        /// oracle exactly: same row pointers, columns, slot map, and
+        /// value bits, on inputs with duplicates, empty rows, explicit
+        /// zeros and duplicates that cancel to zero.
+        #[test]
+        fn prop_pattern_matches_sort_based_oracle(
+            rows in 1usize..12,
+            cols in 1usize..12,
+            coords in proptest::collection::vec(0usize..144, 0..96),
+            picks in proptest::collection::vec(0usize..6, 96),
+            smooth in proptest::collection::vec(-4.0_f64..4.0, 96),
+        ) {
+            // Picks 0..5 draw from a small set so exact zeros and
+            // cancelling duplicates are common; pick 5 is a generic float.
+            const SET: [f64; 5] = [0.0, 1.5, -1.5, 0.25, -3.0];
+            let entries = coords
+                .iter()
+                .enumerate()
+                .map(|(k, &rc)| {
+                    let v = if picks[k] < SET.len() { SET[picks[k]] } else { smooth[k] };
+                    (rc / cols % rows, rc % cols, v)
+                })
+                .collect();
+            let coo = CooMatrix { rows, cols, entries };
+
+            let (csr, pattern) = coo.to_csr_with_pattern();
+            let (want_csr, want_pattern) = reference_csr_with_pattern(&coo);
+            prop_assert_eq!(&csr.row_ptr, &want_csr.row_ptr);
+            prop_assert_eq!(&csr.col_indices, &want_csr.col_indices);
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            prop_assert_eq!(bits(&csr.values), bits(&want_csr.values));
+            prop_assert_eq!(pattern, want_pattern);
+        }
+    }
 
     #[test]
     fn duplicates_are_summed() {

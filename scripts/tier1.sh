@@ -17,8 +17,8 @@ step() {
 step "cargo build --release"
 cargo build --release || fail=1
 
-step "cargo test -q --release"
-if ! cargo test -q --release; then
+step "cargo test -q --release --workspace"
+if ! cargo test -q --release --workspace; then
     step "full test run failed to resolve; retrying without vpd-bench"
     cargo test -q --release --workspace --exclude vpd-bench || fail=1
 fi
