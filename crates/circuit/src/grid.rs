@@ -596,18 +596,15 @@ impl PowerGrid {
     /// regulator droop resistors (grid loss only).
     #[must_use]
     pub fn grid_loss(&self, sol: &crate::DcSolution) -> vpd_units::Watts {
-        let droop_ids: Vec<usize> = self
-            .regulators
-            .iter()
-            .map(|r| r.droop_element.index())
-            .collect();
+        let mut is_droop = vec![false; self.net.elements().len()];
+        for r in &self.regulators {
+            is_droop[r.droop_element.index()] = true;
+        }
         self.net
             .elements()
             .iter()
             .enumerate()
-            .filter(|(i, e)| {
-                matches!(e.kind, crate::ElementKind::Resistor { .. }) && !droop_ids.contains(i)
-            })
+            .filter(|&(i, e)| matches!(e.kind, crate::ElementKind::Resistor { .. }) && !is_droop[i])
             .map(|(i, _)| {
                 sol.dissipated_power(&self.net, ElementId(i))
                     .unwrap_or(vpd_units::Watts::ZERO)

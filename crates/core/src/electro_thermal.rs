@@ -167,7 +167,7 @@ pub fn electro_thermal(
     let per_vr = base.sharing.per_vr().to_vec();
 
     let n = calib.grid_nodes_per_side.max(4);
-    let mesh = ThermalMesh::silicon_die_default(n, n)?;
+    let plan = ThermalMesh::silicon_die_default(n, n)?.compile();
     let derating = DeratingModel::for_technology(settings.technology);
 
     // Die logic heat: the full POL power, distributed by the
@@ -208,32 +208,16 @@ pub fn electro_thermal(
     let mut peak = Celsius::new(0.0);
     let mut mean = Celsius::new(0.0);
     let mut worst_module = Celsius::new(0.0);
+    let mut heat = logic.clone();
 
     while iterations < settings.max_iterations {
         iterations += 1;
-        // Assemble the heat map: logic + (derated) module losses. A
-        // module's footprint (~7 mm² for DSCH) spans a 3×3 cell patch of
-        // the 25×25 mesh, so its heat deposits over that patch rather
-        // than one cell.
-        let mut heat = logic.clone();
-        for ((&(x, y), loss), factor) in sites.iter().zip(&nominal_losses).zip(&factors) {
-            let total = *loss * *factor * coupling;
-            let mut patch = Vec::new();
-            for dy in -1i64..=1 {
-                for dx in -1i64..=1 {
-                    let px = x as i64 + dx;
-                    let py = y as i64 + dy;
-                    if (0..n as i64).contains(&px) && (0..n as i64).contains(&py) {
-                        patch.push((px as usize, py as usize));
-                    }
-                }
-            }
-            let share = total / patch.len() as f64;
-            for (px, py) in patch {
-                heat[py][px] += share;
-            }
+        // Assemble the heat map: logic + (derated) module losses.
+        heat.clone_from(&logic);
+        for ((&site, loss), factor) in sites.iter().zip(&nominal_losses).zip(&factors) {
+            deposit_patch(&mut heat, site, *loss * *factor * coupling);
         }
-        let map = mesh.solve(&heat)?;
+        let map = plan.solve(&heat)?;
         peak = map.max();
         mean = map.mean();
         worst_module = sites
@@ -277,6 +261,23 @@ pub fn electro_thermal(
         derated_conversion_loss: derated_total,
         modules_within_rating: derating.within_rating(worst_module),
     })
+}
+
+/// Deposits `total` evenly over the 3×3 cell patch centred on `(x, y)`
+/// of the square heat map, clipped to its edges: a module's footprint
+/// (~7 mm² for DSCH) spans that patch of the 25×25 mesh, so its heat
+/// lands there rather than in one cell. Cells are visited dy-outer,
+/// dx-inner.
+pub(crate) fn deposit_patch(heat: &mut [Vec<Watts>], (x, y): (usize, usize), total: Watts) {
+    let n = heat.len();
+    let ys = y.saturating_sub(1)..(y + 2).min(n);
+    let xs = x.saturating_sub(1)..(x + 2).min(n);
+    let share = total / (ys.len() * xs.len()) as f64;
+    for row in &mut heat[ys] {
+        for cell in &mut row[xs.clone()] {
+            *cell += share;
+        }
+    }
 }
 
 /// Convenience: the A1-versus-A2 thermal comparison at the paper's

@@ -29,7 +29,7 @@
 //! same bits as compiling the faulted netlist from scratch.
 
 use crate::arch::{second_stage_converter, session_placement};
-use crate::electro_thermal::FixedPointTermination;
+use crate::electro_thermal::{deposit_patch, FixedPointTermination};
 use crate::faults::{apply_fault, Fault, FaultScenario, OPEN_RESISTANCE};
 use crate::gridshare::placement_sites;
 use crate::placement::VrPlacement;
@@ -39,7 +39,7 @@ use crate::{
 };
 use vpd_circuit::{AcPlan, ElementId, NodeId, SwitchState, TransientPlan, TransientSettings};
 use vpd_converters::{Converter, TopologyCharacteristics, VrTopologyKind};
-use vpd_thermal::{DeratingModel, DeviceTechnology, ThermalMesh};
+use vpd_thermal::{DeratingModel, DeviceTechnology, ThermalMesh, ThermalPlan};
 use vpd_units::{Amps, Celsius, Henries, Hertz, Ohms, Seconds, Volts, Watts};
 
 /// Projects a fault scenario onto the lumped [`PdnModel`] ladder.
@@ -806,7 +806,7 @@ impl SurvivalEnvelope {
 /// or the loop runs away. The per-scenario verdict is the same typed
 /// [`FixedPointTermination`] the electro-thermal analysis reports.
 ///
-/// Grid, plan, thermal mesh, and logic heat map are built **once**;
+/// Grid, DC plan, thermal plan, and logic heat map are built **once**;
 /// every scenario is value-only restamps plus warm solves, bitwise
 /// identical for every thread count.
 #[derive(Clone, Debug)]
@@ -819,7 +819,7 @@ pub struct CascadeLadder {
     converter: Converter,
     solver: SharingSolver,
     sites: Vec<(usize, usize)>,
-    mesh: ThermalMesh,
+    thermal: ThermalPlan,
     derating: DeratingModel,
     logic: Vec<Vec<Watts>>,
     coupling: f64,
@@ -866,7 +866,9 @@ impl CascadeLadder {
         solver.anchor_last();
 
         let n = calib.grid_nodes_per_side.max(4);
-        let mesh = ThermalMesh::silicon_die_default(n, n).map_err(CoreError::Thermal)?;
+        let thermal = ThermalMesh::silicon_die_default(n, n)
+            .map_err(CoreError::Thermal)?
+            .compile();
         let derating = DeratingModel::for_technology(settings.technology);
         let logic = calib
             .power_map
@@ -892,7 +894,7 @@ impl CascadeLadder {
             converter,
             solver,
             sites,
-            mesh,
+            thermal,
             derating,
             logic,
             coupling,
@@ -950,7 +952,6 @@ impl CascadeLadder {
         scenario: &FaultScenario,
     ) -> Result<CascadeOutcome, CoreError> {
         let n_vrs = solver.vr_count();
-        let n = self.calib.grid_nodes_per_side.max(4);
         solver.restamp(&self.spec, &self.calib, self.droop)?;
         for fault in &scenario.faults {
             apply_fault(solver, fault)?;
@@ -974,34 +975,21 @@ impl CascadeLadder {
         let mut termination = None;
         let mut peak = Celsius::new(0.0);
         let mut worst_module = Celsius::new(0.0);
+        let mut heat = self.logic.clone();
         while iterations < self.settings.max_iterations {
             iterations += 1;
             // Heat map: logic + surviving modules' derated conversion
             // loss over their 3×3 footprint patches. A dead module's
             // output stage dissipates nothing.
-            let mut heat = self.logic.clone();
-            for (k, &(x, y)) in self.sites.iter().enumerate() {
+            heat.clone_from(&self.logic);
+            for (k, &site) in self.sites.iter().enumerate() {
                 if opened[k] {
                     continue;
                 }
                 let loss = self.converter.curve().loss_unchecked(report.per_vr()[k]);
-                let total = loss * factors[k] * self.coupling;
-                let mut patch = Vec::new();
-                for dy in -1i64..=1 {
-                    for dx in -1i64..=1 {
-                        let px = x as i64 + dx;
-                        let py = y as i64 + dy;
-                        if (0..n as i64).contains(&px) && (0..n as i64).contains(&py) {
-                            patch.push((px as usize, py as usize));
-                        }
-                    }
-                }
-                let share = total / patch.len() as f64;
-                for (px, py) in patch {
-                    heat[py][px] += share;
-                }
+                deposit_patch(&mut heat, site, loss * factors[k] * self.coupling);
             }
-            let map = self.mesh.solve(&heat).map_err(CoreError::Thermal)?;
+            let map = self.thermal.solve(&heat).map_err(CoreError::Thermal)?;
             peak = map.max();
             worst_module = self
                 .sites

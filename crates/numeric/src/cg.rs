@@ -1,6 +1,6 @@
 //! Preconditioned conjugate gradient for sparse SPD systems.
 
-use crate::vector::{axpy, dot, norm2};
+use crate::vector::{norm2, SUM_ZERO};
 use crate::{CsrMatrix, NumericError};
 
 /// Iterations without meaningful residual improvement before CG declares
@@ -230,22 +230,31 @@ fn cg_run(
             *d = if *d != 0.0 { 1.0 / *d } else { 1.0 };
         }
     }
+    // Equal-length views: indexing `0..n` over them needs no bounds
+    // checks.
+    let b = &b[..n];
+    let x = &mut x[..n];
+    let r = &mut ws.r[..n];
+    let z = &mut ws.z[..n];
+    let p = &mut ws.p[..n];
+    let ap = &mut ws.ap[..n];
+    let inv_diag = &ws.inv_diag[..n];
 
-    // r = b − A·x0. A zero guess multiplies out to exactly 0.0 per row,
-    // so the cold path stays bitwise identical to r = b.
-    a.matvec_into(x, &mut ws.ap);
+    // r = b − A·x0, z = M⁻¹·r, p = z, accumulating rᵀz and rᵀr. A zero
+    // guess multiplies out to exactly 0.0 per row, so the cold path
+    // stays bitwise identical to r = b.
+    a.matvec_into(x, ap);
+    let mut rz = SUM_ZERO;
+    let mut rr = SUM_ZERO;
     for i in 0..n {
-        ws.r[i] = b[i] - ws.ap[i];
+        let ri = b[i] - ap[i];
+        let zi = if jacobi { ri * inv_diag[i] } else { ri };
+        r[i] = ri;
+        z[i] = zi;
+        p[i] = zi;
+        rz += ri * zi;
+        rr += ri * ri;
     }
-    if jacobi {
-        for i in 0..n {
-            ws.z[i] = ws.r[i] * ws.inv_diag[i];
-        }
-    } else {
-        ws.z.copy_from_slice(&ws.r);
-    }
-    ws.p.copy_from_slice(&ws.z);
-    let mut rz = dot(&ws.r, &ws.z);
 
     let max_iters = settings.max_iterations.unwrap_or(10 * n.max(1));
     // Stagnation watchdog: CG residuals are not monotone, so only call
@@ -257,7 +266,7 @@ fn cg_run(
     let mut best_rel = f64::INFINITY;
     let mut since_improved = 0usize;
     for iter in 0..max_iters {
-        let rel = norm2(&ws.r) / b_norm;
+        let rel = rr.sqrt() / b_norm;
         if rel <= settings.tolerance {
             return Ok(CgReport {
                 iterations: iter,
@@ -277,33 +286,38 @@ fn cg_run(
                 });
             }
         }
-        a.matvec_into(&ws.p, &mut ws.ap);
-        let pap = dot(&ws.p, &ws.ap);
+        // Pass 1: Ap = A·p and pᵀAp.
+        let pap = a.matvec_dot_into(p, ap);
         if pap <= 0.0 {
             return Err(NumericError::NotPositiveDefinite {
                 pivot: iter,
                 value: pap,
             });
         }
+        // Pass 2: step x and r, precondition, and accumulate rᵀz and
+        // the next iteration's rᵀr.
         let alpha = rz / pap;
-        axpy(alpha, &ws.p, x);
-        axpy(-alpha, &ws.ap, &mut ws.r);
-        if jacobi {
-            for i in 0..n {
-                ws.z[i] = ws.r[i] * ws.inv_diag[i];
-            }
-        } else {
-            ws.z.copy_from_slice(&ws.r);
+        let neg_alpha = -alpha;
+        let mut rz_new = SUM_ZERO;
+        rr = SUM_ZERO;
+        for i in 0..n {
+            x[i] += alpha * p[i];
+            let ri = r[i] + neg_alpha * ap[i];
+            let zi = if jacobi { ri * inv_diag[i] } else { ri };
+            r[i] = ri;
+            z[i] = zi;
+            rz_new += ri * zi;
+            rr += ri * ri;
         }
-        let rz_new = dot(&ws.r, &ws.z);
+        // Pass 3: the new search direction.
         let beta = rz_new / rz;
         rz = rz_new;
         for i in 0..n {
-            ws.p[i] = ws.z[i] + beta * ws.p[i];
+            p[i] = z[i] + beta * p[i];
         }
     }
 
-    let rel = norm2(&ws.r) / b_norm;
+    let rel = rr.sqrt() / b_norm;
     if rel <= settings.tolerance {
         return Ok(CgReport {
             iterations: max_iters,
@@ -569,7 +583,291 @@ mod tests {
         );
     }
 
+    /// The unfused iteration the fused [`cg_run`] replaced — one
+    /// `vector` kernel per step, about seven passes per iteration — kept
+    /// as the bitwise oracle.
+    fn cg_run_unfused(
+        a: &CsrMatrix,
+        b: &[f64],
+        x: &mut [f64],
+        settings: &CgSettings,
+        ws: &mut CgWorkspace,
+    ) -> Result<CgReport, NumericError> {
+        use crate::vector::{axpy, dot};
+        let n = a.rows();
+        let b_norm = norm2(b);
+        if b_norm == 0.0 {
+            x.fill(0.0);
+            return Ok(CgReport {
+                iterations: 0,
+                relative_residual: 0.0,
+            });
+        }
+        ws.ensure(n);
+        let jacobi = settings.preconditioner == Preconditioner::Jacobi;
+        if jacobi {
+            a.diagonal_into(&mut ws.inv_diag);
+            for d in &mut ws.inv_diag {
+                *d = if *d != 0.0 { 1.0 / *d } else { 1.0 };
+            }
+        }
+        a.matvec_into(x, &mut ws.ap);
+        for i in 0..n {
+            ws.r[i] = b[i] - ws.ap[i];
+        }
+        if jacobi {
+            for i in 0..n {
+                ws.z[i] = ws.r[i] * ws.inv_diag[i];
+            }
+        } else {
+            ws.z.copy_from_slice(&ws.r);
+        }
+        ws.p.copy_from_slice(&ws.z);
+        let mut rz = dot(&ws.r, &ws.z);
+        let max_iters = settings.max_iterations.unwrap_or(10 * n.max(1));
+        let stagnation_window = STAGNATION_WINDOW.max(n / 4);
+        let mut best_rel = f64::INFINITY;
+        let mut since_improved = 0usize;
+        for iter in 0..max_iters {
+            let rel = norm2(&ws.r) / b_norm;
+            if rel <= settings.tolerance {
+                return Ok(CgReport {
+                    iterations: iter,
+                    relative_residual: rel,
+                });
+            }
+            if rel < STAGNATION_IMPROVEMENT * best_rel {
+                best_rel = rel;
+                since_improved = 0;
+            } else {
+                since_improved += 1;
+                if since_improved >= stagnation_window {
+                    return Err(NumericError::NoConvergence {
+                        iterations: iter,
+                        residual: rel,
+                        stagnated: true,
+                    });
+                }
+            }
+            a.matvec_into(&ws.p, &mut ws.ap);
+            let pap = dot(&ws.p, &ws.ap);
+            if pap <= 0.0 {
+                return Err(NumericError::NotPositiveDefinite {
+                    pivot: iter,
+                    value: pap,
+                });
+            }
+            let alpha = rz / pap;
+            axpy(alpha, &ws.p, x);
+            axpy(-alpha, &ws.ap, &mut ws.r);
+            if jacobi {
+                for i in 0..n {
+                    ws.z[i] = ws.r[i] * ws.inv_diag[i];
+                }
+            } else {
+                ws.z.copy_from_slice(&ws.r);
+            }
+            let rz_new = dot(&ws.r, &ws.z);
+            let beta = rz_new / rz;
+            rz = rz_new;
+            for i in 0..n {
+                ws.p[i] = ws.z[i] + beta * ws.p[i];
+            }
+        }
+        let rel = norm2(&ws.r) / b_norm;
+        if rel <= settings.tolerance {
+            return Ok(CgReport {
+                iterations: max_iters,
+                relative_residual: rel,
+            });
+        }
+        Err(NumericError::NoConvergence {
+            iterations: max_iters,
+            residual: rel,
+            stagnated: false,
+        })
+    }
+
+    /// A CG outcome with every float as its bit pattern: `(variant,
+    /// iterations or pivot, residual or pᵀAp bits, stagnated)`.
+    fn outcome_bits(res: &Result<CgReport, NumericError>) -> (&'static str, usize, u64, bool) {
+        match res {
+            Ok(rep) => ("ok", rep.iterations, rep.relative_residual.to_bits(), false),
+            Err(NumericError::NoConvergence {
+                iterations,
+                residual,
+                stagnated,
+            }) => (
+                "no_convergence",
+                *iterations,
+                residual.to_bits(),
+                *stagnated,
+            ),
+            Err(NumericError::NotPositiveDefinite { pivot, value }) => {
+                ("not_positive_definite", *pivot, value.to_bits(), false)
+            }
+            Err(other) => panic!("unexpected CG error {other:?}"),
+        }
+    }
+
+    /// Runs the fused solver and the unfused oracle from the same guess
+    /// and asserts identical x bits and outcome; returns the outcome.
+    fn assert_matches_oracle(
+        a: &CsrMatrix,
+        b: &[f64],
+        guess: &[f64],
+        settings: &CgSettings,
+    ) -> Result<CgReport, NumericError> {
+        let mut x = guess.to_vec();
+        let fused = conjugate_gradient_into(a, b, &mut x, settings, &mut CgWorkspace::new());
+        let mut x_oracle = guess.to_vec();
+        let oracle = cg_run_unfused(a, b, &mut x_oracle, settings, &mut CgWorkspace::new());
+        assert_eq!(outcome_bits(&fused), outcome_bits(&oracle));
+        let bits = |v: &[f64]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&x), bits(&x_oracle), "iterate bits differ");
+        fused
+    }
+
+    /// Grounded `nx × ny` grid Laplacian: 4-neighbour conductances from
+    /// `edges`, a ground leak from `leaks` on every node, and `shift`
+    /// subtracted from node 0's diagonal (a large shift makes the
+    /// matrix indefinite).
+    fn grid(nx: usize, ny: usize, edges: &[f64], leaks: &[f64], shift: f64) -> CsrMatrix {
+        let n = nx * ny;
+        let mut coo = CooMatrix::new(n, n);
+        let mut diag: Vec<f64> = leaks[..n].to_vec();
+        diag[0] -= shift;
+        for y in 0..ny {
+            for x in 0..nx {
+                let i = y * nx + x;
+                for (j, g) in [
+                    (x + 1 < nx).then(|| (i + 1, edges[2 * i])),
+                    (y + 1 < ny).then(|| (i + nx, edges[2 * i + 1])),
+                ]
+                .into_iter()
+                .flatten()
+                {
+                    coo.push(i, j, -g);
+                    coo.push(j, i, -g);
+                    diag[i] += g;
+                    diag[j] += g;
+                }
+            }
+        }
+        for (i, d) in diag.into_iter().enumerate() {
+            coo.push(i, i, d);
+        }
+        coo.to_csr()
+    }
+
+    #[test]
+    fn fused_matches_oracle_on_every_exit() {
+        let plain = |tolerance, max_iterations| CgSettings {
+            tolerance,
+            max_iterations,
+            preconditioner: Preconditioner::None,
+        };
+        // Converged, cold and warm from the solution.
+        let a = chain(50, 1.0, 0.1);
+        let b = vec![1.0; 50];
+        let settings = CgSettings::default();
+        let (x, _) = conjugate_gradient(&a, &b, &settings).unwrap();
+        assert!(assert_matches_oracle(&a, &b, &[0.0; 50], &settings).is_ok());
+        let warm = assert_matches_oracle(&a, &b, &x, &settings).unwrap();
+        assert_eq!(warm.iterations, 0);
+        // Iteration cap.
+        let a = chain(100, 1.0, 1e-6);
+        let b = vec![1.0; 100];
+        let capped = assert_matches_oracle(&a, &b, &[0.0; 100], &plain(1e-14, Some(7)));
+        assert!(matches!(
+            capped,
+            Err(NumericError::NoConvergence {
+                iterations: 7,
+                stagnated: false,
+                ..
+            })
+        ));
+        // Stagnation.
+        let a = chain(200, 1e8, 1e-8);
+        let b = vec![1.0; 200];
+        let stalled = assert_matches_oracle(&a, &b, &[0.0; 200], &plain(1e-16, Some(200_000)));
+        assert!(matches!(
+            stalled,
+            Err(NumericError::NoConvergence {
+                stagnated: true,
+                ..
+            })
+        ));
+        // Breakdown on an indefinite grid.
+        let a = grid(4, 4, &[1.0; 32], &[0.1; 16], 50.0);
+        let b: Vec<f64> = (0..16).map(|i| if i == 0 { 1.0 } else { 0.0 }).collect();
+        let broke = assert_matches_oracle(&a, &b, &[0.0; 16], &plain(1e-10, None));
+        assert!(matches!(
+            broke,
+            Err(NumericError::NotPositiveDefinite { .. })
+        ));
+        // Zero right-hand side.
+        assert!(assert_matches_oracle(&a, &[0.0; 16], &[1.0; 16], &plain(1e-10, None)).is_ok());
+    }
+
     proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The fused iteration reproduces the unfused oracle bit for
+        /// bit — iterate, iteration count, residual, and error variant
+        /// with its fields — on random grid Laplacians, both
+        /// preconditioners, cold/warm/exact guesses, capped, stagnating
+        /// and indefinite runs.
+        #[test]
+        fn prop_fused_matches_unfused_oracle(
+            nx in 1_usize..12,
+            ny in 1_usize..12,
+            edges in proptest::collection::vec(0.1_f64..10.0, 242),
+            leaks in proptest::collection::vec(0.0_f64..1.0, 121),
+            conditioning in 0_u8..3,
+            indefinite in 0_u8..5,
+            shift in 0.0_f64..40.0,
+            load in proptest::collection::vec(-2.0_f64..2.0, 121),
+            guess_noise in proptest::collection::vec(-1.0_f64..1.0, 121),
+            guess in 0_u8..3,
+            jacobi in 0_u8..2,
+            tolerance in 0_usize..3,
+            cap in 0_usize..16,
+        ) {
+            let n = nx * ny;
+            // Conditioning: moderate, weakly grounded, or stiff enough
+            // (κ ≈ 10¹⁶) that roundoff stalls the residual.
+            let (edge_scale, leaks): (f64, Vec<f64>) = match conditioning {
+                0 => (1.0, leaks.iter().map(|l| 1e-3 + l).collect()),
+                1 => (1.0, leaks.iter().map(|l| 1e-3 + l * 1e-6).collect()),
+                _ => (1e8, vec![1e-8; 121]),
+            };
+            let edges: Vec<f64> = edges.iter().map(|g| g * edge_scale).collect();
+            let shift = if indefinite == 0 { shift } else { 0.0 };
+            let a = grid(nx, ny, &edges, &leaks, shift);
+            let b = &load[..n];
+            let settings = CgSettings {
+                tolerance: [1e-10, 1e-16, 0.0][tolerance],
+                // Half the draws keep the default `10·n` cap.
+                max_iterations: (cap < 8).then_some(cap),
+                preconditioner: if jacobi == 1 {
+                    Preconditioner::Jacobi
+                } else {
+                    Preconditioner::None
+                },
+            };
+            let x0 = match guess {
+                0 => vec![0.0; n],
+                1 => guess_noise[..n].to_vec(),
+                _ => {
+                    let mut x = vec![0.0; n];
+                    let _ = cg_run_unfused(&a, b, &mut x, &CgSettings::default(), &mut CgWorkspace::new());
+                    x
+                }
+            };
+            let _ = assert_matches_oracle(&a, b, &x0, &settings);
+        }
+
         /// CG agrees with Cholesky on random grounded Laplacian chains.
         #[test]
         fn prop_cg_matches_cholesky(

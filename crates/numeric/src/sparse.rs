@@ -310,15 +310,41 @@ impl CsrMatrix {
     pub fn matvec_into(&self, x: &[f64], y: &mut [f64]) {
         assert_eq!(x.len(), self.cols, "matvec input dimension mismatch");
         assert_eq!(y.len(), self.rows, "matvec output dimension mismatch");
-        for r in 0..self.rows {
-            let start = self.row_ptr[r];
-            let end = self.row_ptr[r + 1];
-            let mut sum = 0.0;
-            for k in start..end {
-                sum += self.values[k] * x[self.col_indices[k]];
-            }
-            y[r] = sum;
+        for (w, yr) in self.row_ptr.windows(2).zip(y) {
+            *yr = self.span_dot(w[0], w[1], x);
         }
+    }
+
+    /// One row of `A·x`: the stored entries `start..end` in CSR order,
+    /// summed from `0.0`. Both product kernels go through it, so they
+    /// agree bitwise.
+    #[inline]
+    fn span_dot(&self, start: usize, end: usize, x: &[f64]) -> f64 {
+        let mut sum = 0.0;
+        for (&v, &c) in self.values[start..end]
+            .iter()
+            .zip(&self.col_indices[start..end])
+        {
+            sum += v * x[c];
+        }
+        sum
+    }
+
+    /// `y = A·x` for square `A`, returning `xᵀy` summed row by row —
+    /// the same order and start as `vector::dot(x, y)`. Pass 1 of the
+    /// fused CG iteration.
+    pub(crate) fn matvec_dot_into(&self, x: &[f64], y: &mut [f64]) -> f64 {
+        assert!(
+            x.len() == self.cols && y.len() == self.rows && self.rows == self.cols,
+            "matvec_dot dimension mismatch"
+        );
+        let mut xty = crate::vector::SUM_ZERO;
+        for ((w, yr), &xr) in self.row_ptr.windows(2).zip(y.iter_mut()).zip(x) {
+            let sum = self.span_dot(w[0], w[1], x);
+            *yr = sum;
+            xty += xr * sum;
+        }
+        xty
     }
 
     /// Replaces the stored values by scatter-adding `raw_values` through

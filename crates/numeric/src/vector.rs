@@ -1,5 +1,10 @@
 //! Vector kernels used by the iterative solvers.
 
+/// The value [`dot`] starts its sum from: `Iterator::sum` over `f64`
+/// starts at `-0.0`. Fused kernels that must reproduce `dot` bitwise
+/// start their reductions here too.
+pub(crate) const SUM_ZERO: f64 = -0.0;
+
 /// Dot product.
 ///
 /// # Panics
@@ -80,6 +85,12 @@ mod tests {
     #[should_panic(expected = "dot dimension mismatch")]
     fn dot_mismatch_panics() {
         let _ = dot(&[1.0], &[1.0, 2.0]);
+    }
+
+    #[test]
+    fn sum_zero_is_where_dot_starts() {
+        assert_eq!(dot(&[], &[]).to_bits(), SUM_ZERO.to_bits());
+        assert_eq!(dot(&[-0.0], &[1.0]).to_bits(), (-0.0_f64).to_bits());
     }
 
     #[test]

@@ -30,4 +30,4 @@ mod mesh;
 
 pub use derate::{DeratingModel, DeviceTechnology};
 pub use error::ThermalError;
-pub use mesh::{ThermalMap, ThermalMesh};
+pub use mesh::{ThermalMap, ThermalMesh, ThermalPlan};

@@ -6,7 +6,7 @@
 //! definite and solved with the workspace conjugate-gradient kernel.
 
 use crate::ThermalError;
-use vpd_numeric::{conjugate_gradient, CgSettings, CooMatrix};
+use vpd_numeric::{conjugate_gradient, CgSettings, CooMatrix, CsrMatrix};
 use vpd_units::{Celsius, Watts};
 
 /// A rectangular thermal mesh.
@@ -104,33 +104,17 @@ impl ThermalMesh {
         self.ambient
     }
 
-    /// Solves the steady-state temperature field for a per-cell power
-    /// map.
-    ///
-    /// # Errors
-    ///
-    /// * [`ThermalError::ShapeMismatch`] when the map doesn't match the
-    ///   mesh.
-    /// * [`ThermalError::Numeric`] if CG fails to converge.
-    // Laplacian stamping indexes the power map and the flat node id in
-    // lockstep, matching the textbook form.
-    #[allow(clippy::needless_range_loop)]
-    pub fn solve(&self, power: &[Vec<Watts>]) -> Result<ThermalMap, ThermalError> {
-        if power.len() != self.ny || power.iter().any(|row| row.len() != self.nx) {
-            return Err(ThermalError::ShapeMismatch {
-                expected: (self.nx, self.ny),
-                found: (power.first().map_or(0, Vec::len), power.len()),
-            });
-        }
+    /// Assembles the conductance matrix `G` once into a [`ThermalPlan`]
+    /// that solves any number of power maps on this mesh.
+    #[must_use]
+    pub fn compile(&self) -> ThermalPlan {
         let n = self.nx * self.ny;
         let mut coo = CooMatrix::new(n, n);
-        let mut rhs = vec![0.0; n];
         let gl = self.lateral_conductance;
-        let gv = self.vertical_conductance;
         for y in 0..self.ny {
             for x in 0..self.nx {
                 let i = y * self.nx + x;
-                let mut diag = gv;
+                let mut diag = self.vertical_conductance;
                 if x + 1 < self.nx {
                     let j = i + 1;
                     coo.push(i, j, -gl);
@@ -150,16 +134,63 @@ impl ThermalMesh {
                     diag += gl;
                 }
                 coo.push(i, i, diag);
-                rhs[i] = power[y][x].value() + gv * self.ambient.value();
             }
         }
-        let (t, _) = conjugate_gradient(&coo.to_csr(), &rhs, &CgSettings::default())?;
-        let temps = (0..self.ny)
-            .map(|y| {
-                (0..self.nx)
-                    .map(|x| Celsius::new(t[y * self.nx + x]))
-                    .collect()
-            })
+        ThermalPlan {
+            mesh: *self,
+            conductance: coo.to_csr(),
+        }
+    }
+
+    /// Solves the steady-state temperature field for a per-cell power
+    /// map: [`ThermalMesh::compile`] then [`ThermalPlan::solve`]. Compile
+    /// once instead when solving many maps on one mesh.
+    ///
+    /// # Errors
+    ///
+    /// As for [`ThermalPlan::solve`].
+    pub fn solve(&self, power: &[Vec<Watts>]) -> Result<ThermalMap, ThermalError> {
+        self.compile().solve(power)
+    }
+}
+
+/// A [`ThermalMesh`] with its conductance matrix assembled: each solve
+/// only builds the right-hand side `P + G_v·T_amb` and runs a cold CG,
+/// so it returns exactly what [`ThermalMesh::solve`] returns for the
+/// same map.
+#[derive(Clone, Debug)]
+pub struct ThermalPlan {
+    mesh: ThermalMesh,
+    conductance: CsrMatrix,
+}
+
+impl ThermalPlan {
+    /// Solves the steady-state temperature field for a per-cell power
+    /// map (`power[y][x]`).
+    ///
+    /// # Errors
+    ///
+    /// * [`ThermalError::ShapeMismatch`] when the map doesn't match the
+    ///   mesh.
+    /// * [`ThermalError::Numeric`] if CG fails to converge.
+    pub fn solve(&self, power: &[Vec<Watts>]) -> Result<ThermalMap, ThermalError> {
+        let ThermalMesh { nx, ny, .. } = self.mesh;
+        if power.len() != ny || power.iter().any(|row| row.len() != nx) {
+            return Err(ThermalError::ShapeMismatch {
+                expected: (nx, ny),
+                found: (power.first().map_or(0, Vec::len), power.len()),
+            });
+        }
+        let ambient_inflow = self.mesh.vertical_conductance * self.mesh.ambient.value();
+        let rhs: Vec<f64> = power
+            .iter()
+            .flatten()
+            .map(|p| p.value() + ambient_inflow)
+            .collect();
+        let (t, _) = conjugate_gradient(&self.conductance, &rhs, &CgSettings::default())?;
+        let temps = t
+            .chunks_exact(nx)
+            .map(|row| row.iter().map(|&c| Celsius::new(c)).collect())
             .collect();
         Ok(ThermalMap { temps })
     }
@@ -277,6 +308,120 @@ mod tests {
             mesh.solve(&p),
             Err(ThermalError::ShapeMismatch { .. })
         ));
+    }
+
+    /// The per-call assembly [`ThermalMesh::solve`] did before plans
+    /// existed, kept as the bitwise oracle.
+    #[allow(clippy::needless_range_loop)]
+    fn solve_assembling_per_call(mesh: &ThermalMesh, power: &[Vec<Watts>]) -> Vec<u64> {
+        let n = mesh.nx * mesh.ny;
+        let mut coo = CooMatrix::new(n, n);
+        let mut rhs = vec![0.0; n];
+        let gl = mesh.lateral_conductance;
+        let gv = mesh.vertical_conductance;
+        for y in 0..mesh.ny {
+            for x in 0..mesh.nx {
+                let i = y * mesh.nx + x;
+                let mut diag = gv;
+                if x + 1 < mesh.nx {
+                    let j = i + 1;
+                    coo.push(i, j, -gl);
+                    coo.push(j, i, -gl);
+                    diag += gl;
+                }
+                if x > 0 {
+                    diag += gl;
+                }
+                if y + 1 < mesh.ny {
+                    let j = i + mesh.nx;
+                    coo.push(i, j, -gl);
+                    coo.push(j, i, -gl);
+                    diag += gl;
+                }
+                if y > 0 {
+                    diag += gl;
+                }
+                coo.push(i, i, diag);
+                rhs[i] = power[y][x].value() + gv * mesh.ambient.value();
+            }
+        }
+        let (t, _) = conjugate_gradient(&coo.to_csr(), &rhs, &CgSettings::default()).unwrap();
+        t.iter().map(|v| v.to_bits()).collect()
+    }
+
+    fn field_bits(map: &ThermalMap) -> Vec<u64> {
+        map.cells()
+            .iter()
+            .flatten()
+            .map(|t| t.value().to_bits())
+            .collect()
+    }
+
+    /// A deterministic, spatially varied power map.
+    fn power_map(nx: usize, ny: usize, seed: usize) -> Vec<Vec<Watts>> {
+        (0..ny)
+            .map(|y| {
+                (0..nx)
+                    .map(|x| Watts::new(((x * 7 + y * 13 + seed * 31) % 17) as f64 * 0.37))
+                    .collect()
+            })
+            .collect()
+    }
+
+    #[test]
+    fn plan_matches_per_call_assembly_bitwise() {
+        let meshes = [
+            ThermalMesh::silicon_die_default(25, 25).unwrap(),
+            ThermalMesh::silicon_die_default(1, 7).unwrap(),
+            ThermalMesh::new(9, 4, 0.3, 0.02, Celsius::new(40.0)).unwrap(),
+        ];
+        for mesh in &meshes {
+            let plan = mesh.compile();
+            for seed in 0..3 {
+                let p = power_map(mesh.nx(), mesh.ny(), seed);
+                let oracle = solve_assembling_per_call(mesh, &p);
+                assert_eq!(field_bits(&plan.solve(&p).unwrap()), oracle);
+                assert_eq!(field_bits(&mesh.solve(&p).unwrap()), oracle);
+            }
+        }
+    }
+
+    #[test]
+    fn one_plan_many_solves_equals_fresh_plans() {
+        let mesh = ThermalMesh::silicon_die_default(12, 12).unwrap();
+        let plan = mesh.compile();
+        // Interleave repeats so any state carried between solves shows.
+        for seed in [0, 1, 2, 0, 5, 1, 9, 9] {
+            let p = power_map(12, 12, seed);
+            assert_eq!(
+                field_bits(&plan.solve(&p).unwrap()),
+                field_bits(&mesh.compile().solve(&p).unwrap())
+            );
+        }
+    }
+
+    #[test]
+    fn plan_rejects_mismatched_maps_with_typed_errors() {
+        let plan = ThermalMesh::silicon_die_default(4, 3).unwrap().compile();
+        let short = vec![vec![Watts::new(1.0); 4]; 2];
+        assert_eq!(
+            plan.solve(&short).unwrap_err(),
+            ThermalError::ShapeMismatch {
+                expected: (4, 3),
+                found: (4, 2),
+            }
+        );
+        let mut ragged = vec![vec![Watts::new(1.0); 4]; 3];
+        ragged[1].pop();
+        assert!(matches!(
+            plan.solve(&ragged),
+            Err(ThermalError::ShapeMismatch {
+                expected: (4, 3),
+                ..
+            })
+        ));
+        // The plan is still usable after a rejected map.
+        assert!(plan.solve(&vec![vec![Watts::new(1.0); 4]; 3]).is_ok());
     }
 
     #[test]

@@ -23,6 +23,9 @@ if ! cargo test -q --release --workspace; then
     cargo test -q --release --workspace --exclude vpd-bench || fail=1
 fi
 
+step "cargo test -q --release --offline --manifest-path perfbench/Cargo.toml"
+cargo test -q --release --offline --manifest-path perfbench/Cargo.toml || fail=1
+
 step "fault-sweep smoke (8 scenarios, finiteness-checked)"
 cargo run --release -p vpd-bench --bin faults -- --samples 8 || fail=1
 
@@ -404,7 +407,7 @@ print(
 )
 EOF
 
-step "cargo clippy --release -- -D warnings"
+step "cargo clippy --release --workspace --all-targets -- -D warnings"
 cargo clippy --release --workspace --all-targets -- -D warnings || fail=1
 
 step "cargo fmt --check"
