@@ -531,18 +531,28 @@ impl SparseDcPlan {
     /// Returns [`CircuitError::StalePlan`] when the solution's node count
     /// does not match the plan's.
     pub fn set_guess(&mut self, sol: &DcSolution) -> Result<(), CircuitError> {
-        if sol.node_voltages.len() != self.node_count {
+        self.set_guess_voltages(&sol.node_voltages)
+    }
+
+    /// [`SparseDcPlan::set_guess`] from bare node voltages, indexed like
+    /// [`DcSolution::node_voltages`]; fixed nodes' entries are ignored.
+    ///
+    /// # Errors
+    ///
+    /// As [`SparseDcPlan::set_guess`].
+    pub fn set_guess_voltages(&mut self, voltages: &[f64]) -> Result<(), CircuitError> {
+        if voltages.len() != self.node_count {
             return Err(CircuitError::StalePlan {
                 reason: format!(
                     "guess has {} nodes, plan has {}",
-                    sol.node_voltages.len(),
+                    voltages.len(),
                     self.node_count
                 ),
             });
         }
-        for node in 0..self.node_count {
-            if let Some(i) = self.unknown_index[node] {
-                self.x[i] = sol.node_voltages[node];
+        for (&slot, &v) in self.unknown_index.iter().zip(voltages) {
+            if let Some(i) = slot {
+                self.x[i] = v;
             }
         }
         Ok(())

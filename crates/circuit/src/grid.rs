@@ -9,6 +9,10 @@ use crate::{CircuitError, DcPlanMode, DcSolver, ElementId, Netlist, NodeId, Spar
 use vpd_numeric::SolveReport;
 use vpd_units::{Amps, Meters, Ohms, Volts};
 
+mod reduction;
+
+pub use reduction::PortReduction;
+
 /// A rectangular resistive mesh plus bookkeeping for loads and regulators.
 ///
 /// ```
@@ -545,11 +549,22 @@ impl PowerGrid {
     /// Compile errors as [`PowerGrid::solve`], or
     /// [`CircuitError::StalePlan`] for a solution of mismatched size.
     pub fn seed_solution(&mut self, sol: &crate::DcSolution) -> Result<(), CircuitError> {
+        self.seed_voltages(sol.node_voltages())
+    }
+
+    /// [`PowerGrid::seed_solution`] from bare node voltages, indexed
+    /// like [`crate::DcSolution::node_voltages`] — e.g. a
+    /// [`PortReduction::predict`].
+    ///
+    /// # Errors
+    ///
+    /// As [`PowerGrid::seed_solution`].
+    pub fn seed_voltages(&mut self, voltages: &[f64]) -> Result<(), CircuitError> {
         self.ensure_plan()?;
         self.plan
             .as_mut()
             .expect("plan was just ensured")
-            .set_guess(sol)
+            .set_guess_voltages(voltages)
     }
 
     /// CG iteration count of the most recent [`PowerGrid::solve_cached`],

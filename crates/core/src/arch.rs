@@ -7,7 +7,7 @@ use crate::gridshare::{
 use crate::loss::{LossBreakdown, LossKind, LossSegment};
 use crate::placement::{modules_required, VrPlacement};
 use crate::{Calibration, CoreError, SystemSpec};
-use vpd_circuit::DcPlanMode;
+use vpd_circuit::{DcPlanMode, PortReduction};
 use vpd_converters::{Converter, TopologyCharacteristics, VrTopologyKind};
 use vpd_package::{required_platform_area, InterconnectTech, ViaAllocation};
 use vpd_units::{Amps, SquareMeters, Volts, Watts};
@@ -753,6 +753,21 @@ impl AnalysisSession {
         topology: VrTopologyKind,
         calib: &Calibration,
     ) -> Result<ArchitectureReport, CoreError> {
+        self.analyze_with(topology, calib, None)
+    }
+
+    /// [`AnalysisSession::analyze`] with the grid solve warm-started
+    /// through [`SharingSolver::solve_with`](crate::SharingSolver::solve_with).
+    ///
+    /// # Errors
+    ///
+    /// As for [`analyze`].
+    pub fn analyze_with(
+        &mut self,
+        topology: VrTopologyKind,
+        calib: &Calibration,
+        reduction: Option<&PortReduction>,
+    ) -> Result<ArchitectureReport, CoreError> {
         // Capacity validation first, preserving `analyze`'s error order
         // (a hopeless module count fails before any solve).
         match self.architecture {
@@ -769,7 +784,7 @@ impl AnalysisSession {
 
         self.solver
             .restamp(&self.spec, calib, placement_droop(self.placement, calib))?;
-        let sharing = self.solver.solve()?;
+        let sharing = self.solver.solve_with(reduction)?;
         match self.architecture {
             Architecture::Reference => finish_reference(&self.spec, calib, self.n_vrs, sharing),
             Architecture::InterposerPeriphery | Architecture::InterposerEmbedded => {
@@ -827,6 +842,17 @@ impl AnalysisSession {
     /// contract (see [`crate::par_map_with`]).
     pub fn anchor(&mut self) {
         self.solver.anchor_last();
+    }
+
+    /// The port reduction of the session's grid for a sweep of `solves`
+    /// analyses, when it pays (see
+    /// [`SharingSolver::sweep_reduction`](crate::SharingSolver::sweep_reduction)).
+    ///
+    /// # Errors
+    ///
+    /// [`CoreError::Circuit`] if the reduction cannot be built.
+    pub fn sweep_reduction(&self, solves: usize) -> Result<Option<PortReduction>, CoreError> {
+        self.solver.sweep_reduction(solves)
     }
 
     /// CG iterations of the most recent grid solve (reuse diagnostic).

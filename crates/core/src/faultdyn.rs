@@ -28,6 +28,8 @@
 //! identical, and restamping a fault into the nominal plan produces the
 //! same bits as compiling the faulted netlist from scratch.
 
+use std::collections::HashMap;
+
 use crate::arch::{second_stage_converter, session_placement};
 use crate::electro_thermal::{deposit_patch, FixedPointTermination};
 use crate::faults::{apply_fault, Fault, FaultScenario, OPEN_RESISTANCE};
@@ -37,7 +39,10 @@ use crate::{
     par_map_with, target_impedance, AnalysisOptions, Architecture, Calibration, CoreError,
     ImpedanceProfile, LoadStep, PdnModel, SharingSolver, SystemSpec,
 };
-use vpd_circuit::{AcPlan, ElementId, NodeId, SwitchState, TransientPlan, TransientSettings};
+use vpd_circuit::{
+    AcPlan, DcPlanMode, ElementId, NodeId, PortReduction, SwitchState, TransientPlan,
+    TransientSettings,
+};
 use vpd_converters::{Converter, TopologyCharacteristics, VrTopologyKind};
 use vpd_thermal::{DeratingModel, DeviceTechnology, ThermalMesh, ThermalPlan};
 use vpd_units::{Amps, Celsius, Henries, Hertz, Ohms, Seconds, Volts, Watts};
@@ -152,6 +157,26 @@ pub fn faulted_pdn_model(
     Ok(faulted)
 }
 
+/// Every field of a model as raw bits: the key under which scenarios
+/// share one frequency sweep.
+fn model_bits(m: &PdnModel) -> [u64; 12] {
+    [
+        m.vr_inductance.value(),
+        m.vr_resistance.value(),
+        m.bulk_capacitance.value(),
+        m.bulk_esr.value(),
+        m.distribution_inductance.value(),
+        m.distribution_resistance.value(),
+        m.package_capacitance.value(),
+        m.package_esr.value(),
+        m.vertical_inductance.value(),
+        m.vertical_resistance.value(),
+        m.die_capacitance.value(),
+        m.die_esr.value(),
+    ]
+    .map(f64::to_bits)
+}
+
 /// One scenario's degraded impedance profile, summarized.
 #[derive(Clone, PartialEq, Debug, serde::Serialize, serde::Deserialize)]
 pub struct FaultImpedanceOutcome {
@@ -230,8 +255,9 @@ impl FaultImpedanceReport {
 /// compiled AC plan of the architecture's PDN ladder.
 ///
 /// The ladder is compiled **once**; every scenario projects its faults
-/// onto the lumped model ([`faulted_pdn_model`]), restamps the five
-/// fault-touched stamps, and sweeps the frequency grid. Restamped
+/// onto the lumped model ([`faulted_pdn_model`]), and each distinct
+/// faulted model restamps the five fault-touched stamps and sweeps the
+/// frequency grid once for all the scenarios that share it. Restamped
 /// values are baked exactly as compilation would bake them, so the
 /// degraded profile is bitwise identical to compiling the faulted
 /// netlist from scratch — and serial == parallel bitwise, because each
@@ -392,22 +418,34 @@ impl FaultImpedanceSweep {
             let mut plan = self.plan.clone();
             self.profile_over(&mut plan, "nominal".into(), freqs)?.peak
         };
-        let results = par_map_with(threads, scenarios, &self.plan, |plan, scenario| {
-            let faulted = self.faulted_model(scenario)?;
-            self.restamp(plan, &faulted)?;
-            let profile = self.profile_over(plan, scenario.name.clone(), freqs)?;
-            Ok::<_, CoreError>(FaultImpedanceOutcome {
-                name: profile.label.clone(),
+        // Scenarios whose faulted models agree bit for bit share one
+        // frequency sweep (every N-1 model is the same recombined bank).
+        let mut unique: Vec<PdnModel> = Vec::new();
+        let mut index_of: HashMap<[u64; 12], usize> = HashMap::new();
+        let mut which = Vec::with_capacity(scenarios.len());
+        for scenario in scenarios {
+            which.push(self.faulted_model(scenario).map(|m| {
+                *index_of.entry(model_bits(&m)).or_insert_with(|| {
+                    unique.push(m);
+                    unique.len() - 1
+                })
+            }));
+        }
+        let profiles = par_map_with(threads, &unique, &self.plan, |plan, m| {
+            self.restamp(plan, m)?;
+            self.profile_over(plan, String::new(), freqs)
+        });
+        let mut outcomes = Vec::with_capacity(scenarios.len());
+        for (scenario, k) in scenarios.iter().zip(which) {
+            let profile = profiles[k?].as_ref().map_err(Clone::clone)?;
+            outcomes.push(FaultImpedanceOutcome {
+                name: scenario.name.clone(),
                 peak: profile.peak,
                 peak_frequency: profile.peak_frequency,
                 first_violation: profile.first_violation,
                 over_target: !profile.meets_target(),
                 excess: profile.peak.value() / self.target.value() - 1.0,
-            })
-        });
-        let mut outcomes = Vec::with_capacity(results.len());
-        for r in results {
-            outcomes.push(r?);
+            });
         }
         vpd_obs::incr("faultdyn.impedance_runs");
         vpd_obs::add("faultdyn.impedance_scenarios", outcomes.len() as u64);
@@ -914,6 +952,21 @@ impl CascadeLadder {
         self.solver.grid_side()
     }
 
+    /// Switches the sparse-solver mode of every DC solve in the ladder
+    /// and re-anchors the nominal point under it (see
+    /// [`crate::FaultSweep::set_solve_mode`]).
+    ///
+    /// # Errors
+    ///
+    /// [`CoreError::Circuit`] if the nominal point cannot be re-solved
+    /// under the new mode.
+    pub fn set_solve_mode(&mut self, mode: DcPlanMode) -> Result<(), CoreError> {
+        self.solver.set_solve_mode(mode)?;
+        self.solver.solve()?;
+        self.solver.anchor_last();
+        Ok(())
+    }
+
     /// Evaluates every scenario's cascade on `threads` workers
     /// (0 = auto); rolls the outcomes into the architecture's survival
     /// envelope. The result is bitwise-independent of `threads`.
@@ -927,8 +980,9 @@ impl CascadeLadder {
         threads: usize,
     ) -> Result<SurvivalEnvelope, CoreError> {
         let _span = vpd_obs::span("faultdyn.cascade_ns");
+        let reduction = self.solver.sweep_reduction(scenarios.len())?;
         let results = par_map_with(threads, scenarios, &self.solver, |solver, scenario| {
-            self.evaluate(solver, scenario)
+            self.evaluate(solver, reduction.as_ref(), scenario)
         });
         let mut outcomes = Vec::with_capacity(results.len());
         for r in results {
@@ -949,6 +1003,7 @@ impl CascadeLadder {
     fn evaluate(
         &self,
         solver: &mut SharingSolver,
+        reduction: Option<&PortReduction>,
         scenario: &FaultScenario,
     ) -> Result<CascadeOutcome, CoreError> {
         let n_vrs = solver.vr_count();
@@ -967,7 +1022,7 @@ impl CascadeLadder {
                 })
             })
             .collect::<Result<_, _>>()?;
-        let mut report = solver.solve()?;
+        let mut report = solver.solve_with(reduction)?;
         let mut factors = vec![1.0_f64; n_vrs];
         let mut last_peak = f64::NEG_INFINITY;
         let mut residual_k = f64::INFINITY;
@@ -1018,7 +1073,7 @@ impl CascadeLadder {
                 }
                 solver.set_vr_droop(k, base_droop[k] * factors[k])?;
             }
-            report = solver.solve()?;
+            report = solver.solve_with(reduction)?;
         }
         let termination = termination.unwrap_or(FixedPointTermination::IterationCap { residual_k });
 
@@ -1218,6 +1273,45 @@ mod tests {
             let scratch = faulted.impedance_profile(&freqs()).unwrap();
             assert_eq!(restamped.points, scratch, "{}", scenario.name);
         }
+    }
+
+    #[test]
+    fn shared_models_sweep_once_and_match_per_scenario_profiles_bitwise() {
+        let (spec, calib) = env();
+        let sweep =
+            FaultImpedanceSweep::new(Architecture::InterposerEmbedded, &spec, &calib).unwrap();
+        let mut scenarios = FaultScenario::n_minus_1(sweep.vr_count());
+        scenarios.extend(FaultScenario::random_k(
+            2,
+            24,
+            0xDED0,
+            sweep.vr_count(),
+            sweep.grid_side(),
+        ));
+        let expected: Vec<FaultImpedanceOutcome> = scenarios
+            .iter()
+            .map(|scenario| {
+                let profile = sweep.profile(scenario, &freqs()).unwrap();
+                FaultImpedanceOutcome {
+                    name: scenario.name.clone(),
+                    peak: profile.peak,
+                    peak_frequency: profile.peak_frequency,
+                    first_violation: profile.first_violation,
+                    over_target: !profile.meets_target(),
+                    excess: profile.peak.value() / sweep.target().value() - 1.0,
+                }
+            })
+            .collect();
+        for threads in [1, 2, 5] {
+            let report = sweep.run(&scenarios, &freqs(), threads).unwrap();
+            assert_eq!(report.outcomes, expected, "threads = {threads}");
+        }
+        // Every N-1 model recombines 47 equal branches: one shared sweep.
+        let n1 = &scenarios[..sweep.vr_count()];
+        let first = sweep.faulted_model(&n1[0]).unwrap();
+        assert!(n1
+            .iter()
+            .all(|s| model_bits(&sweep.faulted_model(s).unwrap()) == model_bits(&first)));
     }
 
     #[test]

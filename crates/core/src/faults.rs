@@ -14,7 +14,10 @@
 //! Determinism contract: each scenario's outcome is a pure function of
 //! (nominal-anchored solver, scenario) — every evaluation restamps back
 //! to nominal before injecting its faults and warm-starts from the one
-//! shared anchor, so [`FaultSweep::run`] returns bitwise-identical
+//! shared anchor, or, for module faults, setpoint drift and whole-sheet
+//! degradation in a sweep long enough to repay it, from the exact
+//! prediction of one shared [`vpd_circuit::PortReduction`] of the
+//! nominal mesh. So [`FaultSweep::run`] returns bitwise-identical
 //! results for every thread count (see [`crate::par_map_with`]).
 
 use crate::arch::{second_stage_converter, session_placement};
@@ -25,7 +28,7 @@ use crate::{
     SharingSolver, SystemSpec,
 };
 use rand::Rng;
-use vpd_circuit::DcPlanMode;
+use vpd_circuit::{DcPlanMode, PortReduction};
 use vpd_converters::{TopologyCharacteristics, VrTopologyKind};
 use vpd_numeric::SolveReport;
 use vpd_units::{Amps, Ohms, Volts};
@@ -427,8 +430,9 @@ impl FaultSweep {
     ) -> Result<FaultSweepReport, CoreError> {
         let _span = vpd_obs::span("faults.run_ns");
         let timer = vpd_obs::is_enabled().then(std::time::Instant::now);
+        let reduction = self.solver.sweep_reduction(scenarios.len())?;
         let results = par_map_with(threads, scenarios, &self.solver, |solver, scenario| {
-            self.evaluate(solver, scenario)
+            self.evaluate(solver, reduction.as_ref(), scenario)
         });
         let mut outcomes = Vec::with_capacity(results.len());
         for r in results {
@@ -457,13 +461,14 @@ impl FaultSweep {
     fn evaluate(
         &self,
         solver: &mut SharingSolver,
+        reduction: Option<&PortReduction>,
         scenario: &FaultScenario,
     ) -> Result<ScenarioOutcome, CoreError> {
         solver.restamp(&self.spec, &self.calib, self.droop)?;
         for fault in &scenario.faults {
             apply_fault(solver, fault)?;
         }
-        let report = solver.solve()?;
+        let report = solver.solve_with(reduction)?;
         let solve = solver.last_solve_report();
 
         let opened = scenario.opened(solver.vr_count());

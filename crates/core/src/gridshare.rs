@@ -10,7 +10,7 @@
 
 use crate::placement::{below_die_sites, periphery_sites, VrPlacement};
 use crate::{Calibration, CoreError, SystemSpec};
-use vpd_circuit::{DcPlanMode, DcSolution, PowerGrid};
+use vpd_circuit::{DcPlanMode, DcSolution, PortReduction, PowerGrid};
 use vpd_numeric::SolveReport;
 use vpd_units::{Amps, Ohms, Volts, Watts};
 
@@ -584,7 +584,26 @@ impl SharingSolver {
     ///
     /// [`CoreError::Circuit`] on solve failure.
     pub fn solve(&mut self) -> Result<SharingReport, CoreError> {
-        if let Some(anchor) = &self.anchor {
+        self.solve_with(None)
+    }
+
+    /// [`SharingSolver::solve`], warm-started from `reduction`'s exact
+    /// prediction of the current state when it covers it (any droops,
+    /// setpoints and uniform sheet scale), and from the anchor
+    /// otherwise. CG still verifies the start: a prediction inside its
+    /// tolerance is accepted at iteration zero, anything else is
+    /// iterated on as usual.
+    ///
+    /// # Errors
+    ///
+    /// [`CoreError::Circuit`] on solve failure.
+    pub fn solve_with(
+        &mut self,
+        reduction: Option<&PortReduction>,
+    ) -> Result<SharingReport, CoreError> {
+        if let Some(v) = reduction.and_then(|r| r.predict(&self.grid)) {
+            self.grid.seed_voltages(&v)?;
+        } else if let Some(anchor) = &self.anchor {
             // Ignore a stale anchor (e.g. after a recompile changed
             // nothing structural) rather than failing the solve.
             let _ = self.grid.seed_solution(anchor);
@@ -604,6 +623,24 @@ impl SharingSolver {
         };
         self.last = Some(sol);
         Ok(report)
+    }
+
+    /// The exact reduction of the mesh, at its current values, onto the
+    /// regulator sites for [`SharingSolver::solve_with`] — when a sweep
+    /// of `solves` warm solves repays building it: only in warm-CG mode
+    /// (a direct solve ignores its start), and only with at least one
+    /// solve per four regulators. On the paper's 48-module 25×25 mesh
+    /// the build costs about six anchored warm solves, and each solve it
+    /// covers then costs under a third of one.
+    ///
+    /// # Errors
+    ///
+    /// [`CoreError::Circuit`] if the reduction cannot be built.
+    pub fn sweep_reduction(&self, solves: usize) -> Result<Option<PortReduction>, CoreError> {
+        if self.solve_mode() != DcPlanMode::WarmCg || solves.saturating_mul(4) < self.vr_count() {
+            return Ok(None);
+        }
+        Ok(Some(PortReduction::new(&self.grid)?))
     }
 
     /// CG iterations of the most recent solve (warm-start diagnostic).

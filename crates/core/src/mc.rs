@@ -12,6 +12,12 @@
 //!   never on which sample ran before it.
 //! * Every sample draws from its own RNG stream derived from
 //!   `(seed, sample index)`.
+//! * A run long enough to repay it also reduces the nominal mesh onto
+//!   its regulator nodes ([`vpd_circuit::PortReduction`]). A sample
+//!   moves only the sheet resistance and the droops, so its solve
+//!   starts at the exact answer instead of the anchor, and CG accepts
+//!   it at iteration zero. The reduction depends on the nominal mesh
+//!   alone, like the anchor.
 //!
 //! Together those make the parallel run ([`McSettings::threads`])
 //! bitwise-identical to the serial one for the same seed.
@@ -146,6 +152,7 @@ pub fn run_tolerance(
 /// nominal point is re-solved and re-anchored here, and a warm re-solve
 /// of an identical system converges at iteration zero to the anchored
 /// solution, so every sample starts from the same point either way.
+/// The port reduction is rebuilt here from that nominal mesh, too.
 ///
 /// # Errors
 ///
@@ -163,6 +170,7 @@ pub fn run_tolerance_with(
     // independent of sample order and worker assignment.
     session.analyze(topology, base)?;
     session.anchor();
+    let reduction = session.sweep_reduction(settings.samples)?;
 
     let indices: Vec<usize> = (0..settings.samples).collect();
     let rt = settings.resistance_tolerance;
@@ -178,7 +186,7 @@ pub fn run_tolerance_with(
             vr_droop_below_die: perturb(base.vr_droop_below_die, &mut rng, rt),
             ..*base
         };
-        let report = sess.analyze(topology, &calib)?;
+        let report = sess.analyze_with(topology, &calib, reduction.as_ref())?;
         // Conversion-curve uncertainty applied as a multiplicative factor
         // on the conversion share of the total.
         let conv_factor = 1.0 + rng.gen_range(-ct..=ct);

@@ -844,6 +844,22 @@ pub fn wire_default_count(kind: &str, name: &str) -> usize {
     })
 }
 
+/// The table's inclusive `(min, max)` range for a count parameter — the
+/// CLI bounds its count flags with the same numbers.
+///
+/// # Panics
+///
+/// On a kind/param name not in the table, or a param that is not a
+/// ranged count.
+#[must_use]
+pub fn wire_count_range(kind: &str, name: &str) -> (usize, usize) {
+    let spec = kind_spec(kind).unwrap_or_else(|| panic!("unknown kind `{kind}` in spec table"));
+    match spec.fields.iter().find(|f| f.name == name).map(|f| f.ty) {
+        Some(FieldType::Count { min, max }) => (min, max),
+        _ => panic!("param `{kind}.{name}` is not a ranged count"),
+    }
+}
+
 /// The table's default for a seed parameter (see [`wire_default_f64`]).
 ///
 /// # Panics

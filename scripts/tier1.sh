@@ -164,6 +164,36 @@ else
     fail=1
 fi
 
+step "CLI guard: N-1 sweep starts every scenario at the port prediction"
+reduction_metrics="target/tier1-reduction.ndjson"
+rm -f "$reduction_metrics"
+if ./target/release/vpd --format json --metrics "$reduction_metrics" \
+    faults --arch a2 --n-minus-1 >target/tier1-n1.json; then
+    python3 - "$reduction_metrics" target/tier1-n1.json <<'EOF' || fail=1
+import json, sys
+
+with open(sys.argv[1]) as f:
+    rec = [json.loads(line) for line in f if line.strip()][-1]
+with open(sys.argv[2]) as f:
+    report = json.load(f)["report"]
+hits = rec["counters"].get("plan.warm_hits", 0)
+assert report["scenarios"] == 48, report
+assert hits >= 48, f"only {hits} of 48 N-1 solves accepted the port prediction"
+assert report["fallback_count"] == 0, report
+print(f"port-reduction guard OK: {hits} warm hits over 48 scenarios, no fallback")
+EOF
+else
+    fail=1
+fi
+
+step "CLI guard: count flags reject fractions"
+if ./target/release/vpd mc --arch a2 --samples 2.7 >/dev/null 2>&1; then
+    echo "vpd mc accepted --samples 2.7"
+    fail=1
+else
+    echo "count guard OK: --samples 2.7 rejected"
+fi
+
 step "serve bench smoke (cold/warm, saturation, batching, shed validation)"
 cargo run --release -p vpd-bench --bin serve -- --smoke || fail=1
 

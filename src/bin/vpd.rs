@@ -28,7 +28,8 @@ use vertical_power_delivery::prelude::*;
 use vertical_power_delivery::report::Json;
 use vertical_power_delivery::scenario::ScenarioDoc;
 use vertical_power_delivery::serve::proto::{
-    parse_architecture, parse_topology, wire_default_count, wire_default_f64, wire_default_seed,
+    parse_architecture, parse_topology, wire_count_range, wire_default_count, wire_default_f64,
+    wire_default_seed,
 };
 use vertical_power_delivery::serve::{
     self, ServeConfig, FAULT_TRANSIENT_DT_NS, FAULT_TRANSIENT_SIM_US, FAULT_TRANSIENT_WINDOW_US,
@@ -304,6 +305,20 @@ impl Command {
                 None => Ok(default),
             }
         };
+        // Count and seed flags are whole numbers, bounded by the range of
+        // the matching wire field where the protocol has one.
+        let count = |name: &str, default: usize, (min, max): (usize, usize)| {
+            flag(name).map_or(Ok(default), |v| {
+                whole_number(name, v, min as u64, max as u64).map(|n| n as usize)
+            })
+        };
+        let seed = |name: &str, kind: &str| {
+            flag(name).map_or(Ok(wire_default_seed(kind, "seed")), |v| {
+                whole_number(name, v, 0, u64::MAX)
+            })
+        };
+        let threads = wire_count_range("mc", "threads");
+        let any = (0, usize::MAX);
         match cmd.as_str() {
             "analyze" => Ok(Self::Analyze {
                 arch: parse_arch(true)?,
@@ -319,25 +334,24 @@ impl Command {
                     Some("below") => VrPlacement::BelowDie,
                     Some(other) => return Err(format!("unknown placement '{other}'")),
                 };
-                let modules =
-                    parse_f64("--modules", wire_default_count("sharing", "modules") as f64)?
-                        as usize;
+                let modules = count(
+                    "--modules",
+                    wire_default_count("sharing", "modules"),
+                    wire_count_range("sharing", "modules"),
+                )?;
                 Ok(Self::Sharing { placement, modules })
             }
-            "mc" => {
-                let samples =
-                    parse_f64("--samples", wire_default_count("mc", "samples") as f64)? as usize;
-                if samples == 0 {
-                    return Err("--samples must be at least 1".into());
-                }
-                Ok(Self::Mc {
-                    arch: parse_arch(true)?,
-                    topology: parse_topo()?,
-                    samples,
-                    seed: parse_f64("--seed", wire_default_seed("mc", "seed") as f64)? as u64,
-                    threads: parse_f64("--threads", 0.0)? as usize,
-                })
-            }
+            "mc" => Ok(Self::Mc {
+                arch: parse_arch(true)?,
+                topology: parse_topo()?,
+                samples: count(
+                    "--samples",
+                    wire_default_count("mc", "samples"),
+                    wire_count_range("mc", "samples"),
+                )?,
+                seed: seed("--seed", "mc")?,
+                threads: count("--threads", 0, threads)?,
+            }),
             "impedance" => {
                 let arch = match flag("--arch") {
                     Some("all") => None,
@@ -353,8 +367,12 @@ impl Command {
                     arch,
                     fmin_hz: parse_f64("--fmin", wire_default_f64("impedance", "fmin_hz"))?,
                     fmax_hz: parse_f64("--fmax", wire_default_f64("impedance", "fmax_hz"))?,
-                    points: parse_f64("--points", wire_default_count("impedance", "points") as f64)?
-                        as usize,
+                    // The checked sweep builder owns the lower bound.
+                    points: count(
+                        "--points",
+                        wire_default_count("impedance", "points"),
+                        (0, wire_count_range("impedance", "points").1),
+                    )?,
                     profile: rest.iter().any(|a| a.as_str() == "--profile"),
                 })
             }
@@ -372,9 +390,9 @@ impl Command {
                 Ok(Self::Droop {
                     arch,
                     sweep,
-                    amps: parse_f64("--amps", 4.0)? as usize,
-                    slews: parse_f64("--slews", 3.0)? as usize,
-                    threads: parse_f64("--threads", 0.0)? as usize,
+                    amps: count("--amps", 4, any)?,
+                    slews: count("--slews", 3, any)?,
+                    threads: count("--threads", 0, threads)?,
                 })
             }
             "thermal" => {
@@ -391,25 +409,22 @@ impl Command {
             "faults" => {
                 let n_minus_1 = rest.iter().any(|a| a.as_str() == "--n-minus-1");
                 let random_k = match flag("--random-k") {
-                    Some(v) => Some(
-                        v.parse::<usize>()
-                            .map_err(|_| format!("--random-k expects a count, got '{v}'"))?,
-                    ),
+                    Some(_) => Some(count("--random-k", 0, (1, usize::MAX))?),
                     None => None,
                 };
                 if n_minus_1 && random_k.is_some() {
                     return Err("--n-minus-1 and --random-k are mutually exclusive".into());
                 }
-                if random_k == Some(0) {
-                    return Err("--random-k must be at least 1".into());
-                }
                 Ok(Self::Faults {
                     arch: parse_arch(true)?,
                     topology: parse_topo()?,
                     random_k,
-                    count: parse_f64("--count", wire_default_count("faults", "count") as f64)?
-                        as usize,
-                    seed: parse_f64("--seed", wire_default_seed("faults", "seed") as f64)? as u64,
+                    count: count(
+                        "--count",
+                        wire_default_count("faults", "count"),
+                        wire_count_range("faults", "count"),
+                    )?,
+                    seed: seed("--seed", "faults")?,
                     dynamic: rest.iter().any(|a| a.as_str() == "--dynamic"),
                 })
             }
@@ -417,10 +432,10 @@ impl Command {
                 let defaults = ServeConfig::default();
                 Ok(Self::Serve {
                     addr: flag("--addr").unwrap_or(DEFAULT_ADDR).to_owned(),
-                    workers: parse_f64("--workers", defaults.workers as f64)? as usize,
-                    queue_depth: parse_f64("--queue-depth", defaults.queue_depth as f64)? as usize,
-                    cache_size: parse_f64("--cache-size", defaults.cache_capacity as f64)? as usize,
-                    max_batch: parse_f64("--max-batch", defaults.max_batch as f64)? as usize,
+                    workers: count("--workers", defaults.workers, threads)?,
+                    queue_depth: count("--queue-depth", defaults.queue_depth, any)?,
+                    cache_size: count("--cache-size", defaults.cache_capacity, any)?,
+                    max_batch: count("--max-batch", defaults.max_batch, any)?,
                     stdio: rest.iter().any(|a| a.as_str() == "--stdio"),
                 })
             }
@@ -478,6 +493,21 @@ impl Command {
             other => Err(format!("unknown command '{other}'")),
         }
     }
+}
+
+/// Parses the value of a count or seed flag: a whole number in
+/// `min..=max`, with an error that names the flag.
+fn whole_number(flag: &str, raw: &str, min: u64, max: u64) -> Result<u64, String> {
+    let n: u64 = raw
+        .parse()
+        .map_err(|_| format!("{flag} expects a whole number, got '{raw}'"))?;
+    if n < min {
+        return Err(format!("{flag} must be at least {min}, got {n}"));
+    }
+    if n > max {
+        return Err(format!("{flag} is capped at {max}, got {n}"));
+    }
+    Ok(n)
 }
 
 /// The default service endpoint shared by `serve` and `call`.
@@ -1528,6 +1558,66 @@ mod tests {
         assert!(parse(&["faults", "--arch", "a1", "--random-k", "three"]).is_err());
         assert!(parse(&["faults", "--arch", "a1", "--random-k", "0"]).is_err());
         assert!(parse(&["faults", "--arch", "a1", "--n-minus-1", "--random-k", "2"]).is_err());
+    }
+
+    #[test]
+    fn count_flags_are_whole_numbers_in_wire_range() {
+        let err = |args: &[&str]| parse(args).unwrap_err();
+        // Fractions and exponents no longer truncate into a count.
+        for (args, flag) in [
+            (
+                ["mc", "--arch", "a2", "--samples", "2.7"].as_slice(),
+                "--samples",
+            ),
+            (
+                ["mc", "--arch", "a2", "--threads", "1e6"].as_slice(),
+                "--threads",
+            ),
+            (["mc", "--arch", "a2", "--seed", "-1"].as_slice(), "--seed"),
+            (
+                ["impedance", "--arch", "a1", "--points", "1.9"].as_slice(),
+                "--points",
+            ),
+            (["sharing", "--modules", "4.5"].as_slice(), "--modules"),
+            (
+                ["droop", "--arch", "a2", "--amps", "2.0"].as_slice(),
+                "--amps",
+            ),
+            (
+                ["faults", "--arch", "a2", "--count", "8.5"].as_slice(),
+                "--count",
+            ),
+            (
+                ["faults", "--arch", "a2", "--random-k", "1.5"].as_slice(),
+                "--random-k",
+            ),
+            (["serve", "--queue-depth", "8x"].as_slice(), "--queue-depth"),
+        ] {
+            let msg = err(args);
+            assert!(msg.starts_with(flag), "{args:?}: {msg}");
+            assert!(msg.contains("whole number"), "{args:?}: {msg}");
+        }
+        // The wire ranges bound the CLI too.
+        assert_eq!(
+            err(&["mc", "--arch", "a2", "--threads", "1000000"]),
+            "--threads is capped at 10000, got 1000000"
+        );
+        assert_eq!(
+            err(&["mc", "--arch", "a2", "--samples", "0"]),
+            "--samples must be at least 1, got 0"
+        );
+        assert!(err(&["mc", "--arch", "a2", "--samples", "1000001"]).starts_with("--samples"));
+        assert!(err(&["sharing", "--modules", "0"]).starts_with("--modules"));
+        assert!(err(&["impedance", "--arch", "a1", "--points", "100001"]).starts_with("--points"));
+        assert!(err(&["faults", "--arch", "a2", "--count", "0"]).starts_with("--count"));
+        assert!(err(&["droop", "--arch", "a2", "--threads", "10001"]).starts_with("--threads"));
+        assert!(err(&["serve", "--workers", "10001"]).starts_with("--workers"));
+        // Whole numbers at the edges still parse.
+        assert!(parse(&["mc", "--arch", "a2", "--threads", "10000"]).is_ok());
+        assert!(matches!(
+            parse(&["mc", "--arch", "a2", "--seed", "18446744073709551615"]).unwrap(),
+            Command::Mc { seed: u64::MAX, .. }
+        ));
     }
 
     #[test]
